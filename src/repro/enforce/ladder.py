@@ -204,10 +204,23 @@ class LadderPolicy:
             "throttle sleeps must satisfy 0 < unit <= max",
         )
 
-    def desired_tier(self, signal: OverdraftSignal) -> Tier:
-        """The tier this signal's severity calls for (no hysteresis)."""
+    def desired_tier(
+        self, signal: OverdraftSignal, current: Tier = Tier.NOMINAL
+    ) -> Tier:
+        """The tier this signal calls for from ``current`` (no hysteresis).
+
+        A session at DEGRADE or above already runs its minimum-energy
+        configuration, so any overrun it still forecasts is real: it
+        is *held* (never desired below ``current``) and counts as a
+        runaway for the headroom rules, whatever the overrun's size.
+        Releasing the pin would raise its spend, and a small overrun
+        forecast must not keep the KILL from landing before the hard
+        bound.
+        """
+        overrun = signal.projected_overrun
+        held = current >= Tier.DEGRADE and overrun > 0.0
         hard = signal.burn_fraction >= self.hard_burn_gate
-        runaway = signal.projected_overrun > self.kill_overrun
+        runaway = held or overrun > self.kill_overrun
         if (
             hard
             and runaway
@@ -215,21 +228,25 @@ class LadderPolicy:
         ):
             return Tier.KILL
         if hard and (
-            signal.projected_overrun > self.throttle_overrun
+            overrun > self.throttle_overrun
             or (
                 runaway
                 and signal.headroom_steps < self.throttle_headroom_steps
             )
         ):
-            return Tier.THROTTLE
-        if (
+            desired = Tier.THROTTLE
+        elif (
             signal.burn_fraction >= self.degrade_burn_gate
-            and signal.projected_overrun > self.degrade_overrun
+            and overrun > self.degrade_overrun
         ):
-            return Tier.DEGRADE
-        if signal.projected_overrun > self.advise_overrun:
-            return Tier.ADVISE
-        return Tier.NOMINAL
+            desired = Tier.DEGRADE
+        elif overrun > self.advise_overrun:
+            desired = Tier.ADVISE
+        else:
+            desired = Tier.NOMINAL
+        if held and desired < current:
+            return current
+        return desired
 
     def throttle_s(self, signal: OverdraftSignal) -> float:
         """Duty-cycle sleep for one throttled step, scaled by severity."""
@@ -298,7 +315,7 @@ class EnforcementLadder:
             )
         previous = self.tier
         self._last_signal = signal
-        desired = self.policy.desired_tier(signal)
+        desired = self.policy.desired_tier(signal, previous)
         if desired > previous:
             new_tier = Tier(previous + 1)
             self._calm_streak = 0

@@ -17,7 +17,7 @@ the scalar code in :mod:`repro.enforce.ladder`:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -73,13 +73,23 @@ def desired_tier_array(
     projected_overrun: np.ndarray,
     burn_fraction: np.ndarray,
     headroom_steps: np.ndarray,
+    tier: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Vectorized :meth:`LadderPolicy.desired_tier` (no hysteresis)."""
+    """Vectorized :meth:`LadderPolicy.desired_tier` from ``tier``.
+
+    ``tier`` is each row's current tier (all NOMINAL when omitted).
+    """
     overrun = np.asarray(projected_overrun, dtype=np.float64)
     burn = np.asarray(burn_fraction, dtype=np.float64)
     headroom = np.asarray(headroom_steps, dtype=np.float64)
+    current = (
+        np.zeros(overrun.shape, dtype=np.int64)
+        if tier is None
+        else np.asarray(tier, dtype=np.int64)
+    )
+    held = (current >= int(Tier.DEGRADE)) & (overrun > 0.0)
     hard = burn >= policy.hard_burn_gate
-    runaway = overrun > policy.kill_overrun
+    runaway = held | (overrun > policy.kill_overrun)
     kill = hard & runaway & (headroom < policy.kill_headroom_steps)
     throttle = hard & (
         (overrun > policy.throttle_overrun)
@@ -98,8 +108,11 @@ def desired_tier_array(
             int(Tier.ADVISE),
         ],
         default=int(Tier.NOMINAL),
+    ).astype(np.int64)
+    result: np.ndarray = np.where(
+        held & (desired < current), current, desired
     )
-    return desired.astype(np.int64)
+    return result
 
 
 def ladder_observe_array(

@@ -517,9 +517,8 @@ class SessionPool:
         degraded/throttle flags, kill status).
 
         Works on killed rows too, so a session killed while pooled can
-        be written back before its close/report.  Per-step artifacts the
-        pool does not keep — the accountant's energy trace, the decision
-        history, per-transition ladder records — are the caller's to
+        be written back before its close/report.  Per-transition ladder
+        records, which the pool does not keep, are the caller's to
         maintain while the session is pooled (the service engine writes
         them through per flush); only the *latest* state is restored
         here.
@@ -562,7 +561,6 @@ class SessionPool:
             feasible=bool(self.d_feasible[row]),
         )
         runtime._decision = decision
-        runtime._decisions.append(decision)
         if ladder is not None:
             ladder.tier = Tier(int(self.tier[row]))
             ladder._calm_streak = int(self.calm_streak[row])
@@ -947,7 +945,9 @@ class SessionPool:
         self.last_burn = np.where(m, burn, self.last_burn)
         self.last_headroom = np.where(m, headroom, self.last_headroom)
         self.has_signal = self.has_signal | m
-        desired = desired_tier_array(self.policy, overrun, burn, headroom)
+        desired = desired_tier_array(
+            self.policy, overrun, burn, headroom, self.tier
+        )
         new_tier, new_calm = ladder_observe_array(
             self.policy, self.tier, self.calm_streak, desired
         )

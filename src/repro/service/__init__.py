@@ -53,6 +53,7 @@ from .protocol import (
     REQUEST_TYPES,
     SUPPORTED_VERSIONS,
     ProtocolError,
+    Reply,
     batch_measurements_from_payload,
     decision_payload,
     decode_message,
@@ -66,7 +67,8 @@ from .protocol import (
     request_id_of,
     sensor_ok_from_payload,
 )
-from .server import RID_CACHE_MAX, ServerThread, ServiceServer, serve
+from .rid import RID_CACHE_MAX, RidCache
+from .server import ServerThread, ServiceServer, serve
 from .sessions import (
     Session,
     SessionError,
@@ -109,7 +111,9 @@ __all__ = [
     "ProtocolError",
     "REQUEST_TYPES",
     "RID_CACHE_MAX",
+    "Reply",
     "RetryPolicy",
+    "RidCache",
     "STATE_VERSION",
     "SUPPORTED_VERSIONS",
     "ServerThread",

@@ -58,7 +58,7 @@ Version 3 (sharding + throughput) adds
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..core.jouleguard import Decision
 from ..core.types import Measurement
@@ -72,11 +72,13 @@ __all__ = [
     "REQUEST_TYPES",
     "SUPPORTED_VERSIONS",
     "ProtocolError",
+    "Reply",
     "batch_measurements_from_payload",
     "decision_payload",
     "decode_message",
     "encode_message",
     "error_response",
+    "line_too_long",
     "measurement_from_payload",
     "measurement_payload",
     "negotiate_version",
@@ -92,7 +94,9 @@ PROTOCOL_VERSION = 3
 #: Versions a v3 server still serves (v2 clients lack ``batch_step``).
 SUPPORTED_VERSIONS = (2, 3)
 
-#: Upper bound on one encoded message (guards the server's readline).
+#: Upper bound on one encoded message, newline included.  Every stream
+#: reader in the service is limited to it, so a longer line is refused
+#: (with ``bad_request``) instead of buffered.
 MAX_LINE_BYTES = 1_000_000
 
 #: Upper bound on measurements in one ``batch_step`` frame.
@@ -159,6 +163,13 @@ def encode_message(payload: Mapping[str, Any]) -> bytes:
     ).encode("utf-8") + b"\n"
 
 
+def line_too_long() -> ProtocolError:
+    """The error for a line longer than :data:`MAX_LINE_BYTES`."""
+    return ProtocolError(
+        "bad_request", f"message exceeds {MAX_LINE_BYTES} bytes"
+    )
+
+
 def decode_message(line: bytes) -> Dict[str, Any]:
     """Parse one received line into a message object.
 
@@ -166,10 +177,7 @@ def decode_message(line: bytes) -> Dict[str, Any]:
     invalid JSON, or a non-object payload.
     """
     if len(line) > MAX_LINE_BYTES:
-        raise ProtocolError(
-            "bad_request",
-            f"message exceeds {MAX_LINE_BYTES} bytes",
-        )
+        raise line_too_long()
     try:
         message = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -179,6 +187,67 @@ def decode_message(line: bytes) -> Dict[str, Any]:
             "bad_request", "message must be a JSON object"
         )
     return message
+
+
+class Reply(Mapping[str, Any]):
+    """One encoded reply line, readable as the message it carries.
+
+    A server encodes each reply exactly once: :attr:`line` is what goes
+    on the wire and what the rid cache keeps, so a replay is
+    byte-identical and costs its wire size.  :attr:`throttle_s` is the
+    THROTTLE-tier duty-cycle sleep to inject before writing it.  Read
+    as a mapping (in-process callers and tests), the line is decoded on
+    first access.
+    """
+
+    __slots__ = ("line", "throttle_s", "_message")
+
+    def __init__(self, line: bytes, throttle_s: float = 0.0) -> None:
+        self.line = line
+        self.throttle_s = throttle_s
+        self._message: Optional[Dict[str, Any]] = None
+
+    @classmethod
+    def of(cls, message: Mapping[str, Any]) -> "Reply":
+        """Encode ``message`` and note the throttle it asks for."""
+        return cls(encode_message(message), _throttle_of(message))
+
+    @classmethod
+    def replay(cls, line: bytes) -> "Reply":
+        """A reply re-sent from its encoded line (throttle included)."""
+        reply = cls(line)
+        reply.throttle_s = _throttle_of(reply.message)
+        return reply
+
+    @property
+    def message(self) -> Dict[str, Any]:
+        """The decoded reply (what a client reads)."""
+        if self._message is None:
+            self._message = decode_message(self.line)
+        return self._message
+
+    def __getitem__(self, key: str) -> Any:
+        return self.message[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.message)
+
+    def __len__(self) -> int:
+        return len(self.message)
+
+    def __repr__(self) -> str:
+        return f"Reply({self.line!r}, throttle_s={self.throttle_s})"
+
+
+def _throttle_of(message: Mapping[str, Any]) -> float:
+    """The duty-cycle sleep a reply asks its server to inject."""
+    enforcement = message.get("enforcement")
+    if not isinstance(enforcement, dict):
+        return 0.0
+    throttle_s = enforcement.get("throttle_s", 0.0)
+    if not isinstance(throttle_s, (int, float)):
+        return 0.0
+    return max(0.0, float(throttle_s))
 
 
 def parse_request(message: Mapping[str, Any]) -> Tuple[str, Dict[str, Any]]:

@@ -21,19 +21,21 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
+import sys
 import threading
 import time
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ..obs.http import MetricsHTTPServer
 from .protocol import (
+    MAX_LINE_BYTES,
     ProtocolError,
+    Reply,
     batch_measurements_from_payload,
     decision_payload,
     decode_message,
-    encode_message,
     error_response,
+    line_too_long,
     measurement_from_payload,
     negotiate_version,
     ok_response,
@@ -41,6 +43,7 @@ from .protocol import (
     request_id_of,
     sensor_ok_from_payload,
 )
+from .rid import RID_CACHE_MAX, RidCache
 from .sessions import SessionError, SessionKilled, SessionManager
 from .vexec import VexecEngine
 
@@ -53,9 +56,6 @@ __all__ = [
     "ServiceServer",
     "serve",
 ]
-
-#: Upper bound on cached idempotent responses (oldest evicted first).
-RID_CACHE_MAX = 1024
 
 
 class ServiceServer:
@@ -133,7 +133,6 @@ class ServiceServer:
         self._vexec_max_batch = vexec_max_batch
         self._vexec_max_delay_us = vexec_max_delay_us
         self._vexec_solo_after = vexec_solo_after
-        self._rid_inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self.host = host
         self.port = port
         self.unix_path = unix_path
@@ -148,10 +147,14 @@ class ServiceServer:
         self._reaper: Optional[asyncio.Task] = None
         self.connections = 0
         self.connection_errors = 0
-        self.replayed_responses = 0
         self.chaos_dropped_requests = 0
         self.chaos_dropped_responses = 0
-        self._rid_cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._rid_cache = RidCache()
+
+    @property
+    def replayed_responses(self) -> int:
+        """Requests answered by replaying an earlier execution."""
+        return self._rid_cache.replayed
 
     # -- lifecycle -------------------------------------------------------------
     async def start(self) -> None:
@@ -169,7 +172,10 @@ class ServiceServer:
             self.vexec.start()
         if self.host is not None:
             self._tcp_server = await asyncio.start_server(
-                self._serve_connection, host=self.host, port=self.port
+                self._serve_connection,
+                host=self.host,
+                port=self.port,
+                limit=MAX_LINE_BYTES,
             )
             # Baselined JGF101: start() runs once, before any other
             # coroutine of this server exists, so writing the bound
@@ -177,7 +183,9 @@ class ServiceServer:
             self.port = self._tcp_server.sockets[0].getsockname()[1]
         if self.unix_path is not None:
             self._unix_server = await asyncio.start_unix_server(
-                self._serve_connection, path=self.unix_path
+                self._serve_connection,
+                path=self.unix_path,
+                limit=MAX_LINE_BYTES,
             )
         if self.metrics_host is not None:
             self._metrics_http = MetricsHTTPServer(
@@ -251,7 +259,16 @@ class ServiceServer:
             while True:
                 try:
                     line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
+                except ValueError:
+                    # Longer than MAX_LINE_BYTES: refuse it, then hang
+                    # up, since the rest of that line cannot be told
+                    # from the next request.
+                    self.connection_errors += 1
+                    writer.write(Reply.of(_error_of(line_too_long())).line)
+                    with contextlib.suppress(ConnectionError):
+                        await writer.drain()
+                    break
+                except ConnectionError:
                     self.connection_errors += 1
                     break
                 if not line:
@@ -270,9 +287,9 @@ class ServiceServer:
                     self.chaos_dropped_requests += 1
                     break
                 if self.vexec is not None:
-                    response = await self.handle_line_async(line)
+                    reply = await self.handle_line_async(line)
                 else:
-                    response = self.handle_line(line)
+                    reply = self.handle_line(line)
                 if action == "drop_response":
                     # Processed, but the answer is "lost on the wire".
                     # The rid cache is what lets a retry recover this.
@@ -280,11 +297,11 @@ class ServiceServer:
                     break
                 # THROTTLE tier: duty-cycle the session's step loop by
                 # holding the response back — the client cannot send
-                # its next heartbeat until this one is answered.
-                throttle_s = _throttle_of(response)
-                if throttle_s > 0.0:
-                    await asyncio.sleep(throttle_s)
-                writer.write(encode_message(response))
+                # its next heartbeat until this one is answered.  A
+                # replayed reply carries its throttle and sleeps too.
+                if reply.throttle_s > 0.0:
+                    await asyncio.sleep(reply.throttle_s)
+                writer.write(reply.line)
                 try:
                     await writer.drain()
                 except ConnectionError:
@@ -296,127 +313,63 @@ class ServiceServer:
                 await writer.wait_closed()
 
     # -- dispatch (synchronous: one request, one response) ---------------------
-    def handle_line(self, line: bytes) -> Dict[str, Any]:
+    def handle_line(self, line: bytes) -> Reply:
         """Decode, dispatch, and answer one request line.
 
-        Requests carrying a ``rid`` are idempotent: the first execution's
-        response is cached (bounded by :data:`RID_CACHE_MAX`) and a
-        retried ``rid`` is answered from the cache without re-executing.
-        Error envelopes are never cached — a retry should re-attempt the
-        operation, since the failure may have been transient.
+        The reply is encoded once; its :attr:`~Reply.line` is what the
+        connection writes.  Requests carrying a ``rid`` are idempotent
+        (see :class:`~repro.service.rid.RidCache`): a retried ``rid``
+        is answered with the first execution's exact bytes.
         """
         started_s = time.perf_counter()
-        request_type = "invalid"
-        rid: Optional[str] = None
-        cache = True
         try:
             message = decode_message(line)
             rid = request_id_of(message)
-            if rid is not None and rid in self._rid_cache:
-                self.replayed_responses += 1
-                self._rid_cache.move_to_end(rid)
-                return self._rid_cache[rid]
+        except ProtocolError as exc:
+            return self._answer(None, "invalid", _error_of(exc), started_s)
+        if rid is not None:
+            cached = self._rid_cache.lookup(rid)
+            if cached is not None:
+                return cached
+        request_type = "invalid"
+        try:
             request_type, fields = parse_request(message)
             response = self._dispatch(request_type, fields)
-        except ProtocolError as exc:
-            cache = False
-            response = error_response(exc.code, exc.message)
-        except SessionError as exc:
-            cache = False
-            response = error_response(exc.code, exc.message, exc.data)
         except Exception as exc:  # daemon must answer every request
-            cache = False
-            response = error_response(
-                "internal", f"{type(exc).__name__}: {exc}"
-            )
-        if cache and rid is not None:
-            response = dict(response)
-            response["rid"] = rid
-            self._rid_cache[rid] = response
-            while len(self._rid_cache) > RID_CACHE_MAX:
-                self._rid_cache.popitem(last=False)
-        self.manager.telemetry.record_request(
-            request_type,
-            bool(response.get("ok", False)),
-            time.perf_counter() - started_s,
-        )
-        return response
+            response = _error_of(exc)
+        return self._answer(rid, request_type, response, started_s)
 
-    async def handle_line_async(self, line: bytes) -> Dict[str, Any]:
+    async def handle_line_async(self, line: bytes) -> Reply:
         """Async twin of :meth:`handle_line` for the vector backend.
 
         ``step``/``batch_step`` suspend at the gather window, so this
         path can interleave requests from many connections — which is
         exactly what fills the micro-batches.  Because execution now
-        spans awaits, a ``rid`` is *reserved* before the first suspend
-        (the shard router's idiom): a concurrent retry of an in-flight
-        rid awaits the original execution's future instead of
-        re-executing the step.  The reservation is dropped on every
-        exit path — including cancellation — so an abandoned request
-        can never park a rid forever.  A waiter woken by an abandoned
-        original re-checks the cache and the in-flight map before
-        falling through: another parked retry may have re-reserved
-        the rid first, and a second execution would double-step the
-        session.
+        spans awaits, a ``rid`` is reserved before the first suspend
+        (:meth:`~repro.service.rid.RidCache.once`), so a concurrent
+        retry awaits the original execution instead of re-stepping.
         """
         started_s = time.perf_counter()
         try:
             message = decode_message(line)
             rid = request_id_of(message)
         except ProtocolError as exc:
-            self.manager.telemetry.record_request(
-                "invalid", False, time.perf_counter() - started_s
-            )
-            return error_response(exc.code, exc.message)
+            return self._answer(None, "invalid", _error_of(exc), started_s)
         if rid is None:
-            return await self._execute_line_async(
-                message, None, started_s
-            )
-        while True:
-            if rid in self._rid_cache:
-                self.replayed_responses += 1
-                self._rid_cache.move_to_end(rid)
-                return self._rid_cache[rid]
-            inflight = self._rid_inflight.get(rid)
-            if inflight is None:
-                break
-            self.replayed_responses += 1
-            try:
-                return await asyncio.shield(inflight)
-            except asyncio.CancelledError:
-                if not inflight.cancelled():
-                    raise  # this waiter was cancelled
-                # The original execution was abandoned (its
-                # connection closed mid-flight); loop to re-check
-                # the maps before executing fresh.
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
+            return await self._execute_line_async(message, None, started_s)
+        return await self._rid_cache.once(
+            rid,
+            lambda: self._execute_line_async(message, rid, started_s),
         )
-        self._rid_inflight[rid] = future
-        try:
-            response = await self._execute_line_async(
-                message, rid, started_s
-            )
-            if not future.done():
-                future.set_result(response)
-            return response
-        finally:
-            if self._rid_inflight.get(rid) is future:
-                del self._rid_inflight[rid]
-            if not future.done():
-                # Cancelled mid-execution: wake any duplicate
-                # waiters rather than leaving them parked forever.
-                future.cancel()
 
     async def _execute_line_async(
         self,
         message: Dict[str, Any],
         rid: Optional[str],
         started_s: float,
-    ) -> Dict[str, Any]:
-        """Dispatch one decoded request; cache ok responses by rid."""
+    ) -> Reply:
+        """Dispatch one decoded request through the gather window."""
         request_type = "invalid"
-        cache = True
         try:
             request_type, fields = parse_request(message)
             if request_type in ("step", "batch_step"):
@@ -425,33 +378,27 @@ class ServiceServer:
                 )
             else:
                 response = self._dispatch(request_type, fields)
-        except ProtocolError as exc:
-            cache = False
-            response = error_response(exc.code, exc.message)
-        except SessionError as exc:
-            cache = False
-            response = error_response(
-                exc.code, exc.message, exc.data
-            )
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # daemon must answer every request
-            cache = False
-            response = error_response(
-                "internal", f"{type(exc).__name__}: {exc}"
-            )
-        if cache and rid is not None:
-            response = dict(response)
-            response["rid"] = rid
-            self._rid_cache[rid] = response
-            while len(self._rid_cache) > RID_CACHE_MAX:
-                self._rid_cache.popitem(last=False)
+            response = _error_of(exc)
+        return self._answer(rid, request_type, response, started_s)
+
+    def _answer(
+        self,
+        rid: Optional[str],
+        request_type: str,
+        response: Dict[str, Any],
+        started_s: float,
+    ) -> Reply:
+        """Encode (and rid-cache) one response; record its telemetry."""
+        reply = self._rid_cache.settle(rid, response)
         self.manager.telemetry.record_request(
             request_type,
             bool(response.get("ok", False)),
             time.perf_counter() - started_s,
         )
-        return response
+        return reply
 
     async def _dispatch_vexec(
         self, request_type: str, fields: Dict[str, Any]
@@ -526,7 +473,9 @@ class ServiceServer:
     def _dispatch(
         self, request_type: str, fields: Dict[str, Any]
     ) -> Dict[str, Any]:
-        handler = getattr(self, f"_handle_{request_type}")
+        # Interned, the name hits the type's attribute cache instead
+        # of leaving a fresh string in it per request.
+        handler = getattr(self, sys.intern(f"_handle_{request_type}"))
         return handler(fields)
 
     def _handle_hello(self, fields: Dict[str, Any]) -> Dict[str, Any]:
@@ -796,15 +745,13 @@ class ServiceServer:
         )
 
 
-def _throttle_of(response: Dict[str, Any]) -> float:
-    """The duty-cycle sleep a response asks the server to inject."""
-    enforcement = response.get("enforcement")
-    if not isinstance(enforcement, dict):
-        return 0.0
-    throttle_s = enforcement.get("throttle_s", 0.0)
-    if not isinstance(throttle_s, (int, float)):
-        return 0.0
-    return max(0.0, float(throttle_s))
+def _error_of(exc: Exception) -> Dict[str, Any]:
+    """The error envelope answering a failed request."""
+    if isinstance(exc, ProtocolError):
+        return error_response(exc.code, exc.message)
+    if isinstance(exc, SessionError):
+        return error_response(exc.code, exc.message, exc.data)
+    return error_response("internal", f"{type(exc).__name__}: {exc}")
 
 
 async def _serve_until_cancelled(server: ServiceServer) -> None:

@@ -290,7 +290,7 @@ class SessionManager:
         self._next_serial = 1
         self._spent_closed_j = 0.0
         self._steps_since_rebalance = 0
-        self.transfers: List[Dict[str, float]] = []
+        self.rebalances = 0
         self.sessions_opened = 0
         self.sessions_rejected = 0
         self.sessions_degraded = 0
@@ -921,7 +921,9 @@ class SessionManager:
         applied before grants — the order the historical in-line
         rebalance used — and sessions unknown to this manager are
         ignored (the router sends each worker the full daemon-wide
-        plan; a worker applies its own slice).
+        plan; a worker applies its own slice).  The round is counted
+        in :attr:`rebalances`; one that moved joules is also logged as
+        a ``rebalance`` event, so no per-round history accumulates.
         """
         self._accounting_current()
         applied: List[Tuple[BudgetAccountant, float]] = []
@@ -951,7 +953,14 @@ class SessionManager:
             for accountant, applied_j in reversed(applied):
                 accountant.adjust_budget(-applied_j)
             raise
-        self.transfers.append(recorded)
+        self.rebalances += 1
+        moved_j = sum(delta for delta in recorded.values() if delta > 0.0)
+        if moved_j > 0.0:
+            self.telemetry.record_event(
+                "rebalance",
+                sessions=len(recorded),
+                moved_j=round(moved_j, 6),
+            )
         # Adjustments landed on the scalar accountants; pooled rows
         # must see the same effective budgets on their next step.  (On
         # the ContractError edge above the compensation restored the
@@ -990,6 +999,6 @@ class SessionManager:
             "global_budget_j": self.global_budget_j,
             "committed_budget_j": self.committed_budget_j,
             "available_budget_j": self.available_budget_j,
-            "rebalances": len(self.transfers),
+            "rebalances": self.rebalances,
             "snapshots_stored": len(self.store),
         }

@@ -76,17 +76,21 @@ from ..obs.registry import MetricsRegistry
 from .lease import LeaseLedger, joules_to_uj, uj_to_joules
 from .protocol import (
     ADMIN_TYPES,
+    MAX_LINE_BYTES,
     ProtocolError,
+    Reply,
     batch_measurements_from_payload,
     decode_message,
     encode_message,
     error_response,
+    line_too_long,
     negotiate_version,
     ok_response,
     parse_request,
     request_id_of,
 )
-from .server import RID_CACHE_MAX
+from .rid import RidCache
+from .server import _error_of
 from .sessions import SessionError, plan_rebalance
 
 __all__ = [
@@ -258,9 +262,7 @@ class ShardRouter:
         self._steps_since_rebalance = 0
         self._rebalance_lock = asyncio.Lock()
         self._restart_lock = asyncio.Lock()
-        self._rid_cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._rid_inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        self.replayed_responses = 0
+        self._rid_cache = RidCache()
         self.connections = 0
         self.connection_errors = 0
         self._tcp_server: Optional[asyncio.AbstractServer] = None
@@ -343,12 +345,17 @@ class ShardRouter:
         self.m_unleased.labels().set(self.ledger.available_j)
         if self.host is not None:
             self._tcp_server = await asyncio.start_server(
-                self._serve_connection, host=self.host, port=self.port
+                self._serve_connection,
+                host=self.host,
+                port=self.port,
+                limit=MAX_LINE_BYTES,
             )
             self.port = self._tcp_server.sockets[0].getsockname()[1]
         if self.unix_path is not None:
             self._unix_server = await asyncio.start_unix_server(
-                self._serve_connection, path=self.unix_path
+                self._serve_connection,
+                path=self.unix_path,
+                limit=MAX_LINE_BYTES,
             )
         if self.metrics_host is not None:
             self._metrics_http = MetricsHTTPServer(
@@ -494,7 +501,7 @@ class ShardRouter:
                 break
             try:
                 reader, writer = await asyncio.open_unix_connection(
-                    handle.unix_path
+                    handle.unix_path, limit=MAX_LINE_BYTES
                 )
                 writer.write(encode_message({"type": "hello"}))
                 await writer.drain()
@@ -559,7 +566,23 @@ class ShardRouter:
                 raise ConnectionError("worker connection is down")
             handle.writer.write(data)
             await handle.writer.drain()
-            line = await handle.reader.readline()
+            try:
+                line = await handle.reader.readline()
+            except ValueError:
+                # A reply over MAX_LINE_BYTES leaves the link mid-line.
+                # The worker itself is healthy: re-dial it and fail
+                # this call only.
+                handle.writer.close()
+                try:
+                    await self._wait_ready(handle)
+                except RuntimeError as exc:
+                    raise ConnectionError(str(exc)) from exc
+                raise ProtocolError(
+                    "internal",
+                    f"worker {handle.name} reply to "
+                    f"{payload.get('type')!r} exceeds "
+                    f"{MAX_LINE_BYTES} bytes",
+                ) from None
         if not line:
             raise ConnectionError("worker closed the connection")
         self.m_requests.labels(
@@ -570,9 +593,16 @@ class ShardRouter:
     async def _forward(
         self, handle: WorkerHandle, payload: Dict[str, Any]
     ) -> Dict[str, Any]:
-        """Forward; on a dead worker, restart it and answer unavailable."""
+        """Forward; on a dead worker, restart it and answer unavailable.
+
+        A failed call is answered with an error envelope, never raised,
+        so a rebalance round that cannot read one worker skips it
+        rather than failing the heartbeat that triggered the round.
+        """
         try:
             return await self._call_worker(handle, payload)
+        except ProtocolError as exc:
+            return error_response(exc.code, exc.message)
         except (ConnectionError, OSError):
             await self._restart_worker(handle)
             return error_response(
@@ -696,13 +726,16 @@ class ShardRouter:
         """
         self.connections += 1
         loop = asyncio.get_running_loop()
-        backlog: Deque[bytes] = deque()
+        # ``None`` in the backlog marks a line over MAX_LINE_BYTES.
+        backlog: Deque[Optional[bytes]] = deque()
         read_task: Optional["asyncio.Task[bytes]"] = None
-        handler: Optional["asyncio.Task[Dict[str, Any]]"] = None
+        handler: Optional["asyncio.Task[Reply]"] = None
         gone = False
+        refused = False
         try:
             while True:
                 if handler is None:
+                    line: Optional[bytes]
                     if backlog:
                         line = backlog.popleft()
                     elif gone:
@@ -714,23 +747,37 @@ class ShardRouter:
                             )
                         try:
                             line = await read_task
-                        except (
-                            ConnectionError,
-                            asyncio.LimitOverrunError,
-                        ):
-                            # A dropped or misbehaving client ends its
-                            # own connection only; the router serves on.
+                        except ValueError:
+                            self.connection_errors += 1
+                            line = None
+                        except ConnectionError:
+                            # A dropped client ends its own connection
+                            # only; the router serves on.
                             self.connection_errors += 1
                             return
                         finally:
                             read_task = None
-                        if not line:
-                            return
+                    if line is None:
+                        # Refused after every request before it was
+                        # answered; then hang up, since the rest of
+                        # that line cannot be told from the next one.
+                        writer.write(
+                            Reply.of(_error_of(line_too_long())).line
+                        )
+                        with contextlib.suppress(ConnectionError):
+                            await writer.drain()
+                        return
+                    if not line:
+                        return
                     if not line.strip():
                         continue
                     handler = loop.create_task(self.handle_line(line))
                 waiting = {handler}
-                if not gone and len(backlog) < _READAHEAD_LINES:
+                if (
+                    not gone
+                    and not refused
+                    and len(backlog) < _READAHEAD_LINES
+                ):
                     if read_task is None:
                         read_task = loop.create_task(reader.readline())
                     waiting.add(read_task)
@@ -740,10 +787,11 @@ class ShardRouter:
                 if read_task is not None and read_task.done():
                     try:
                         ahead = read_task.result()
-                    except (
-                        ConnectionError,
-                        asyncio.LimitOverrunError,
-                    ):
+                    except ValueError:
+                        self.connection_errors += 1
+                        backlog.append(None)
+                        refused = True
+                    except ConnectionError:
                         self.connection_errors += 1
                         gone = True
                     else:
@@ -761,19 +809,21 @@ class ShardRouter:
                     continue
                 finished, handler = handler, None
                 try:
-                    response = finished.result()
+                    reply = finished.result()
                 except asyncio.CancelledError:
                     if gone:
                         backlog.clear()
                         return
                     raise
                 if gone:
-                    # Completed before the cancel landed; the response
+                    # Completed before the cancel landed; the reply
                     # (and any cached rid entry) stands, but there is
                     # no one left to write it to.
                     backlog.clear()
                     return
-                writer.write(encode_message(response))
+                # The worker already slept out any throttle before it
+                # answered, so the reply is written straight away.
+                writer.write(reply.line)
                 try:
                     await writer.drain()
                 except ConnectionError:
@@ -789,25 +839,28 @@ class ShardRouter:
             with contextlib.suppress(ConnectionError):
                 await writer.wait_closed()
 
-    async def handle_line(self, line: bytes) -> Dict[str, Any]:
+    @property
+    def replayed_responses(self) -> int:
+        """Requests answered by replaying an earlier execution."""
+        return self._rid_cache.replayed
+
+    async def handle_line(self, line: bytes) -> Reply:
         """Decode, route, and answer one request line.
 
-        Identical rid idempotency contract to the single daemon — but
-        owned here: forwarded requests are stripped of their rid, so a
-        retry never reaches a worker twice even across a router
-        reconnect.  Unlike the single daemon's synchronous dispatch,
-        routing suspends at the worker round-trip, so a rid is
-        *reserved* before the first await: a concurrent retry of the
-        same rid (a client that timed out and reconnected while the
-        original request is still in flight) awaits the original
-        execution's response instead of re-executing a non-idempotent
-        verb like ``step``.
+        Identical rid idempotency contract to the single daemon, and
+        the same :class:`~repro.service.rid.RidCache` — but owned
+        here: forwarded requests are stripped of their rid, so a retry
+        never reaches a worker twice even across a router reconnect.
+        Routing suspends at the worker round trip, so the rid is
+        reserved before the first await and a concurrent retry awaits
+        the original execution's reply instead of re-executing a
+        non-idempotent verb like ``step``.
 
         A reservation lives at most as long as the connection that
         made it: :meth:`_serve_connection` cancels the dispatch the
         moment its client vanishes, which unwinds this coroutine and
         expires the reservation — waiters parked on an expired
-        reservation re-check the maps and the first re-executes
+        reservation re-check the cache and the first re-executes
         fresh (the abandoned original may or may not have reached
         its worker); the rest park on that fresh execution.
         """
@@ -815,51 +868,17 @@ class ShardRouter:
             message = decode_message(line)
             rid = request_id_of(message)
         except ProtocolError as exc:
-            return error_response(exc.code, exc.message)
+            return Reply.of(_error_of(exc))
         if rid is None:
-            return await self._execute_line(message, rid)
-        while True:
-            if rid in self._rid_cache:
-                self.replayed_responses += 1
-                self._rid_cache.move_to_end(rid)
-                return self._rid_cache[rid]
-            inflight = self._rid_inflight.get(rid)
-            if inflight is None:
-                break
-            self.replayed_responses += 1
-            try:
-                return await asyncio.shield(inflight)
-            except asyncio.CancelledError:
-                if not inflight.cancelled():
-                    raise
-                # The original execution was abandoned (its client
-                # vanished and the connection expired the reservation
-                # on close).  Loop to re-check the maps: another
-                # parked retry may have re-reserved the rid first,
-                # and a second execution would double-step the
-                # session on its worker.
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
+            return await self._execute_line(message, None)
+        return await self._rid_cache.once(
+            rid, lambda: self._execute_line(message, rid)
         )
-        self._rid_inflight[rid] = future
-        try:
-            response = await self._execute_line(message, rid)
-            if not future.done():
-                future.set_result(response)
-            return response
-        finally:
-            if self._rid_inflight.get(rid) is future:
-                del self._rid_inflight[rid]
-            if not future.done():
-                # Cancelled mid-execution: wake any duplicate waiters
-                # rather than leaving them parked forever.
-                future.cancel()
 
     async def _execute_line(
         self, message: Dict[str, Any], rid: Optional[str]
-    ) -> Dict[str, Any]:
-        """Dispatch one decoded request; cache ok responses by rid."""
-        cache = True
+    ) -> Reply:
+        """Route one decoded request; answer (and rid-cache) it."""
         try:
             request_type, _ = parse_request(message)
             if request_type in ADMIN_TYPES:
@@ -872,28 +891,13 @@ class ShardRouter:
                 for key, value in message.items()
                 if key != "rid"
             }
-            handler = getattr(self, f"_handle_{request_type}")
-            response = await handler(forwarded)
-        except ProtocolError as exc:
-            cache = False
-            response = error_response(exc.code, exc.message)
-        except SessionError as exc:
-            cache = False
-            response = error_response(exc.code, exc.message, exc.data)
-        except Exception as exc:  # the router must answer every line
-            cache = False
-            response = error_response(
-                "internal", f"{type(exc).__name__}: {exc}"
+            handler = getattr(
+                self, sys.intern(f"_handle_{request_type}")
             )
-        if not response.get("ok", False):
-            cache = False
-        if cache and rid is not None:
-            response = dict(response)
-            response["rid"] = rid
-            self._rid_cache[rid] = response
-            while len(self._rid_cache) > RID_CACHE_MAX:
-                self._rid_cache.popitem(last=False)
-        return response
+            response = await handler(forwarded)
+        except Exception as exc:  # the router must answer every line
+            response = _error_of(exc)
+        return self._rid_cache.settle(rid, response)
 
     # -- verb handlers ---------------------------------------------------------
     async def _handle_hello(

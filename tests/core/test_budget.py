@@ -71,10 +71,18 @@ class TestBudgetAccountant:
         with pytest.raises(ValueError):
             _ = accountant.overall_energy_per_work
 
-    def test_energy_trace_records_each_iteration(self, accountant):
+    def test_record_keeps_running_totals_only(self, accountant):
         accountant.record(1.0, 5.0)
         accountant.record(1.0, 7.0)
-        assert accountant.energy_trace == [5.0, 7.0]
+        assert accountant.work_done == pytest.approx(2.0)
+        assert accountant.energy_used_j == pytest.approx(12.0)
+        # Constant memory: no per-iteration trace is retained.
+        assert set(vars(accountant)) == {
+            "goal",
+            "work_done",
+            "energy_used_j",
+            "adjustment_j",
+        }
 
     def test_negative_inputs_rejected(self, accountant):
         with pytest.raises(ValueError):

@@ -32,8 +32,12 @@ TRUE_RATES = (10.0, 6.0)
 TRUE_POWERS = (100.0, 30.0)
 
 
-def run_plant(runtime, n_iterations, rng=None, rate_noise=0.0):
-    """Drive the runtime against the toy plant; return energy history."""
+def run_plant(runtime, n_iterations, rng=None, rate_noise=0.0, decisions=None):
+    """Drive the runtime against the toy plant; return energy history.
+
+    When ``decisions`` is a list, every decision ``step`` returns is
+    appended to it (the runtime itself keeps only the current one).
+    """
     rng = rng or np.random.default_rng(0)
     energies, accuracies = [], []
     for _ in range(n_iterations):
@@ -46,9 +50,11 @@ def run_plant(runtime, n_iterations, rng=None, rate_noise=0.0):
         energy = power * time_s
         energies.append(energy)
         accuracies.append(decision.app_config.accuracy)
-        runtime.step(
+        decision = runtime.step(
             Measurement(work=1.0, energy_j=energy, rate=rate, power_w=power)
         )
+        if decisions is not None:
+            decisions.append(decision)
     return energies, accuracies
 
 
@@ -122,11 +128,16 @@ class TestRuntimeMechanics:
         assert decision.system_index in (0, 1)
         assert decision.app_config.speedup >= 1.0
 
-    def test_decisions_logged(self):
+    def test_step_returns_decisions_and_keeps_no_history(self):
         n = 50
         runtime = make_runtime(2.0, n)
-        run_plant(runtime, n)
-        assert len(runtime.decisions) == n + 1  # initial + one per step
+        decisions = []
+        run_plant(runtime, n, decisions=decisions)
+        assert len(decisions) == n
+        assert decisions[-1] is runtime.current_decision
+        # Constant memory: the runtime retains no per-step trace.
+        assert not hasattr(runtime, "decisions")
+        assert not hasattr(runtime, "_decisions")
 
     def test_work_complete_freezes_operating_point(self):
         n = 10
@@ -165,8 +176,9 @@ class TestRuntimeMechanics:
     def test_app_selection_respects_eqn6(self):
         n = 300
         runtime = make_runtime(3.0, n)
-        run_plant(runtime, n)
-        for decision in runtime.decisions[20:]:
+        decisions = []
+        run_plant(runtime, n, decisions=decisions)
+        for decision in decisions[19:]:
             if decision.feasible:
                 assert (
                     decision.app_config.speedup

@@ -103,6 +103,37 @@ class TestLadderPolicy:
         ending = signal(overrun=0.0, burn=0.95, headroom=1.0)
         assert DEFAULT_LADDER.desired_tier(ending) is Tier.NOMINAL
 
+    def test_enforced_session_is_held_while_it_forecasts_overrun(self):
+        # Pinned at DEGRADE, a 38 % overrun forecast is below the
+        # degrade threshold, but releasing the pin would only raise
+        # the spend: the tier holds until the forecast fits.
+        pinned = signal(overrun=0.38, burn=0.6, headroom=30.0)
+        assert DEFAULT_LADDER.desired_tier(pinned) is Tier.ADVISE
+        assert (
+            DEFAULT_LADDER.desired_tier(pinned, Tier.DEGRADE)
+            is Tier.DEGRADE
+        )
+        fits = signal(overrun=0.0, burn=0.6, headroom=30.0)
+        assert (
+            DEFAULT_LADDER.desired_tier(fits, Tier.THROTTLE)
+            is Tier.NOMINAL
+        )
+
+    def test_enforced_overrun_kills_before_the_hard_bound(self):
+        # Any overrun an enforced session still forecasts counts as a
+        # runaway for the headroom rules, however small it is.
+        closing = signal(overrun=0.05, burn=0.8, headroom=15.0)
+        assert (
+            DEFAULT_LADDER.desired_tier(closing, Tier.DEGRADE)
+            is Tier.THROTTLE
+        )
+        last = signal(overrun=0.05, burn=0.9, headroom=5.0)
+        assert (
+            DEFAULT_LADDER.desired_tier(last, Tier.THROTTLE) is Tier.KILL
+        )
+        # The same signal from an unenforced session stays advisory.
+        assert DEFAULT_LADDER.desired_tier(last) is Tier.ADVISE
+
     def test_threshold_validation(self):
         with pytest.raises(ContractError):
             LadderPolicy(advise_overrun=0.5, degrade_overrun=0.1)

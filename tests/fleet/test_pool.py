@@ -95,6 +95,28 @@ class TestArrayTwins:
                 DEFAULT_LADDER.desired_tier(signal)
             )
 
+    def test_desired_tier_from_each_current_tier_matches_policy(self):
+        rng = np.random.default_rng(13)
+        k = 400
+        overrun = np.where(
+            rng.random(k) < 0.2, 0.0, rng.uniform(0.0, 2.0, k)
+        )
+        burn = rng.uniform(0.0, 1.5, k)
+        headroom = rng.uniform(0.0, 40.0, k)
+        current = rng.integers(0, int(Tier.KILL), k)
+        vector = desired_tier_array(
+            DEFAULT_LADDER, overrun, burn, headroom, current
+        )
+        for i in range(k):
+            signal = OverdraftSignal(
+                projected_overrun=float(overrun[i]),
+                burn_fraction=float(burn[i]),
+                headroom_steps=float(headroom[i]),
+            )
+            assert int(vector[i]) == int(
+                DEFAULT_LADDER.desired_tier(signal, Tier(int(current[i])))
+            )
+
     def test_ladder_observe_matches_scalar_walk(self):
         """Random desired-tier walks: the elementwise transition rule
         tracks EnforcementLadder.observe until the scalar kills."""
@@ -117,6 +139,7 @@ class TestArrayTwins:
                     np.asarray([overrun]),
                     np.asarray([burn]),
                     np.asarray([headroom]),
+                    tier,
                 )
                 tier, calm = ladder_observe_array(
                     DEFAULT_LADDER, tier, calm, desired

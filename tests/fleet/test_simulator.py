@@ -66,6 +66,15 @@ class TestGuarantees:
         assert report.hard_tier_sessions > 0
         assert report.hard_tier_overdraft == 0
 
+    @pytest.mark.parametrize("seed", [5, 15])
+    def test_smoke_preset_regression_seeds_never_overdraft(self, seed):
+        # Both seeds once ended a killed runaway over budget: a pinned
+        # row's overrun forecast sat below the kill threshold, so the
+        # ladder released it and the KILL landed a step too late.
+        report = FleetSimulator(preset_scenario("smoke", seed=seed)).run()
+        assert report.killed > 0
+        assert report.hard_tier_overdraft == 0
+
     def test_accounting_balances(self):
         report = FleetSimulator(_tiny_scenario(seed=2)).run()
         retired = (

@@ -97,7 +97,7 @@ class TestConcurrentSessionsShareOneBudget:
             granted, rel=1e-9
         )
         # Rebalances actually ran (3 sessions x 30 steps, period 10).
-        assert len(manager.transfers) >= 1
+        assert manager.stats()["rebalances"] >= 1
 
         # Closing returns unspent grants to the pool.
         with client_for(sock) as client:

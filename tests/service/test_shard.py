@@ -273,7 +273,7 @@ class TestRidInflightCoalescing:
         assert len(calls) == 1
         assert first == second
         assert router.replayed_responses == 1
-        assert router._rid_inflight == {}
+        assert router._rid_cache.inflight == {}
 
     def test_error_responses_are_not_coalesced_into_the_cache(self):
         import asyncio
@@ -301,7 +301,7 @@ class TestRidInflightCoalescing:
         assert first["ok"] is False
         assert second["ok"] is True
         assert len(attempts) == 2  # the error was never cached
-        assert router._rid_inflight == {}
+        assert router._rid_cache.inflight == {}
 
     def test_cancelled_execution_reexecutes_duplicate_waiters(self):
         # When the original execution is abandoned (its connection
@@ -333,11 +333,11 @@ class TestRidInflightCoalescing:
             await asyncio.sleep(0)
             await asyncio.sleep(0)
             assert len(calls) == 2  # the retry re-executed
-            assert "retry-4" in router._rid_inflight
+            assert "retry-4" in router._rid_cache.inflight
             second.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await second
-            assert router._rid_inflight == {}
+            assert router._rid_cache.inflight == {}
 
         asyncio.run(scenario())
 
@@ -393,14 +393,14 @@ class TestRidExpiryOnConnectionClose:
                 )
                 await writer.drain()
                 await asyncio.wait_for(started.wait(), timeout=5.0)
-                assert "gone-1" in router._rid_inflight
+                assert "gone-1" in router._rid_cache.inflight
                 writer.close()
                 await writer.wait_closed()
                 for _ in range(500):
-                    if "gone-1" not in router._rid_inflight:
+                    if "gone-1" not in router._rid_cache.inflight:
                         break
                     await asyncio.sleep(0.01)
-                assert "gone-1" not in router._rid_inflight
+                assert "gone-1" not in router._rid_cache.inflight
                 assert unwound, "dispatch was not cancelled"
             finally:
                 server.close()
@@ -449,10 +449,10 @@ class TestRidExpiryOnConnectionClose:
                 writer.close()
                 await writer.wait_closed()
                 for _ in range(500):
-                    if not router._rid_inflight:
+                    if not router._rid_cache.inflight:
                         break
                     await asyncio.sleep(0.01)
-                assert router._rid_inflight == {}
+                assert router._rid_cache.inflight == {}
                 await asyncio.sleep(0.05)
                 # Only the request that was already executing ever
                 # reached dispatch; the pipelined rest died with the

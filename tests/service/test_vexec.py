@@ -380,4 +380,4 @@ class TestAsyncServerPath:
         first, second = asyncio.run(scenario())
         assert first["ok"] is False and second["ok"] is False
         assert server.replayed_responses == 0
-        assert server._rid_inflight == {}
+        assert server._rid_cache.inflight == {}
