@@ -147,38 +147,39 @@ class KalmanBank:
             [self.updates, np.zeros(k, dtype=np.int64)]
         )
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop rows where ``mask`` is False (pool compaction)."""
-        keep = np.asarray(mask, dtype=bool)
-        self.value = self.value[keep]
-        self.variance = self.variance[keep]
-        self.initialized = self.initialized[keep]
-        self.updates = self.updates[keep]
+    def keep(self, kept: np.ndarray) -> None:
+        """Keep only the rows indexed by ``kept``, in order (pool
+        compaction)."""
+        self.value = self.value.take(kept)
+        self.variance = self.variance.take(kept)
+        self.initialized = self.initialized.take(kept)
+        self.updates = self.updates.take(kept)
 
     def update(
         self, measurements: np.ndarray, mask: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Fold one measurement per masked row; return the estimates."""
         z = np.asarray(measurements, dtype=np.float64)
-        if mask is None:
-            rows = np.ones(self.n, dtype=bool)
-        else:
-            rows = np.asarray(mask, dtype=bool)
-        first = rows & ~self.initialized
-        later = rows & self.initialized
         predicted = self.variance + self.process_variance
         gain = predicted / (predicted + self.measurement_variance)
-        folded = self.value + gain * (z - self.value)
-        self.value = np.where(
-            later, folded, np.where(first, z, self.value)
+        value = np.where(
+            self.initialized, self.value + gain * (z - self.value), z
         )
-        self.variance = np.where(
-            later,
+        variance = np.where(
+            self.initialized,
             (1.0 - gain) * predicted,
-            np.where(first, self.measurement_variance, self.variance),
+            self.measurement_variance,
         )
-        self.initialized = self.initialized | rows
-        self.updates = self.updates + rows.astype(np.int64)
+        if mask is None:
+            self.value, self.variance = value, variance
+            self.initialized = np.ones(self.n, dtype=bool)
+            self.updates = self.updates + 1
+        else:
+            rows = np.asarray(mask, dtype=bool)
+            self.value = np.where(rows, value, self.value)
+            self.variance = np.where(rows, variance, self.variance)
+            self.initialized = self.initialized | rows
+            self.updates = self.updates + rows
         return self.value
 
 

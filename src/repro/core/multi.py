@@ -150,7 +150,8 @@ class MultiAppCoordinator:
         self.transfer_fraction = transfer_fraction
         self.smoothing = smoothing
         self._steps_since_rebalance = 0
-        self.transfers: List[Dict[str, float]] = []
+        #: Rebalance rounds run so far (the deltas are returned, not kept).
+        self.rebalances = 0
 
     # -- delegation -------------------------------------------------------------
     def current_decision(self, name: str) -> Decision:
@@ -302,7 +303,7 @@ class MultiAppCoordinator:
                     accountant.adjust_budget(-applied_j)
                 raise
             break
-        self.transfers.append(deltas)
+        self.rebalances += 1
         return deltas
 
     # -- accounting invariants ---------------------------------------------------------

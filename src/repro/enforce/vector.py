@@ -99,20 +99,15 @@ def desired_tier_array(
         overrun > policy.degrade_overrun
     )
     advise = overrun > policy.advise_overrun
-    desired = np.select(
-        [kill, throttle, degrade, advise],
-        [
-            int(Tier.KILL),
-            int(Tier.THROTTLE),
-            int(Tier.DEGRADE),
-            int(Tier.ADVISE),
-        ],
-        default=int(Tier.NOMINAL),
-    ).astype(np.int64)
-    result: np.ndarray = np.where(
-        held & (desired < current), current, desired
+    # Tiers are ordered, so the first matching rule (KILL before
+    # THROTTLE before ...) is the largest ``rule * tier``; a held row
+    # keeps at least its current tier.
+    desired: np.ndarray = np.maximum(
+        np.maximum(kill * int(Tier.KILL), throttle * int(Tier.THROTTLE)),
+        np.maximum(degrade * int(Tier.DEGRADE), advise * int(Tier.ADVISE)),
     )
-    return result
+    np.maximum(desired, held * current, out=desired)
+    return desired
 
 
 def ladder_observe_array(
@@ -133,15 +128,12 @@ def ladder_observe_array(
     current = np.asarray(tier, dtype=np.int64)
     calm = np.asarray(calm_streak, dtype=np.int64)
     want = np.asarray(desired, dtype=np.int64)
-    escalate = want > current
     calmer = want < current
-    calm_next = np.where(calmer, calm + 1, 0)
+    calm_next = calm + 1
     drop = calmer & (calm_next >= policy.hold_steps)
-    new_tier = np.where(
-        escalate, current + 1, np.where(drop, current - 1, current)
-    )
-    calm_next = np.where(drop, 0, calm_next)
-    return new_tier.astype(np.int64), calm_next.astype(np.int64)
+    new_tier: np.ndarray = current + (want > current) - drop
+    new_calm: np.ndarray = np.where(calmer & ~drop, calm_next, 0)
+    return new_tier, new_calm
 
 
 def throttle_s_array(

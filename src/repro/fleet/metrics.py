@@ -10,7 +10,7 @@ burn-fraction distribution tails included.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..obs.prom import render_text
 from ..obs.registry import MetricsRegistry
@@ -87,11 +87,17 @@ class FleetMetrics:
             buckets=BURN_BUCKETS,
         )
 
-    def observe_accuracy(self, cohort: str, value: float) -> None:
-        self.accuracy.labels(cohort).observe(value, self.accuracy.uppers)
+    def observe_accuracy(self, cohort: str, values: Sequence[float]) -> None:
+        """Fold retired sessions' accuracies, in order."""
+        child = self.accuracy.labels(cohort)
+        for value in values:
+            child.observe(value, self.accuracy.uppers)
 
-    def observe_burn(self, cohort: str, value: float) -> None:
-        self.burn.labels(cohort).observe(value, self.burn.uppers)
+    def observe_burn(self, cohort: str, values: Sequence[float]) -> None:
+        """Fold retired sessions' burn fractions, in order."""
+        child = self.burn.labels(cohort)
+        for value in values:
+            child.observe(value, self.burn.uppers)
 
     def render(self) -> str:
         """The registry in Prometheus text exposition format."""

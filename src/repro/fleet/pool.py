@@ -73,8 +73,24 @@ class FleetError(RuntimeError):
 
 
 def _require_finite_positive(name: str, values: np.ndarray) -> None:
-    if not bool(np.all(np.isfinite(values) & (values > 0.0))):
+    # One min/max pair: NaN fails ``min() > 0``, +inf fails ``max() < inf``.
+    if values.size and not (values.min() > 0.0 and values.max() < np.inf):
         raise FleetError(f"{name} must be finite and positive")
+
+
+def _blend(
+    mask: Optional[np.ndarray], new: np.ndarray, old: Any
+) -> np.ndarray:
+    """``np.where(mask, new, old)``, or ``new`` itself when ``mask`` is
+    ``None`` (the step covers every row).
+
+    Callers pass a freshly computed ``new`` that no row array holds, so
+    the shortcut never makes two row arrays share memory.
+    """
+    if mask is None:
+        return new
+    result: np.ndarray = np.where(mask, new, old)
+    return result
 
 
 class SessionPool:
@@ -117,9 +133,10 @@ class SessionPool:
         self._gens: List[np.random.Generator] = []
         c = spec.n_configs
         # Fast-mode selection scratch: the per-config efficiency shape
-        # (scale-free) and a reusable (n, C) efficiency buffer.
+        # (scale-free) and two reusable (rows, C) buffers, grown to the
+        # largest pool seen and sliced to the current row count.
         self._shape_eff = spec.rate_shape / spec.power_shape
-        self._eff_scratch: Optional[np.ndarray] = None
+        self._scratch = np.empty((2, 0, c), dtype=np.float64)
         self._fpos_by_index = {
             int(index): position
             for position, index in enumerate(spec.frontier_indices)
@@ -324,15 +341,12 @@ class SessionPool:
 
     def compact(self) -> np.ndarray:
         """Drop dead rows; return the kept rows' previous indices."""
-        keep = self.alive.copy()
-        kept = np.flatnonzero(keep)
+        kept = np.flatnonzero(self.alive)
         for name in _ROW_ARRAYS:
-            setattr(self, name, getattr(self, name)[keep])
-        self.energy_kalman.keep(keep)
+            setattr(self, name, getattr(self, name).take(kept, axis=0))
+        self.energy_kalman.keep(kept)
         if self.mode == "exact":
-            self._gens = [
-                gen for gen, k in zip(self._gens, keep) if bool(k)
-            ]
+            self._gens = [self._gens[i] for i in kept.tolist()]
         return kept
 
     # -- scalar <-> vector migration -----------------------------------
@@ -621,36 +635,35 @@ class SessionPool:
         m = self.alive
         if mask is not None:
             m = m & np.asarray(mask, dtype=bool)
-        if not bool(m.any()):
+        live = int(np.count_nonzero(m))
+        if live == 0:
             raise FleetError("no live sessions to step")
         spec = self.spec
         n = self.n
-        rows = np.flatnonzero(m)
-        work = np.where(m, np.asarray(work, dtype=np.float64), 1.0)
-        energy_j = np.where(
-            m, np.asarray(energy_j, dtype=np.float64), 1.0
-        )
-        rate = np.where(m, np.asarray(rate, dtype=np.float64), 1.0)
-        power_w = np.where(
-            m, np.asarray(power_w, dtype=np.float64), 1.0
-        )
+        # The blend mask: None when the step covers every row, so each
+        # per-row update is the new value itself rather than a copy.
+        sel = None if live == n else m
+        work = _blend(sel, np.asarray(work, dtype=np.float64), 1.0)
+        energy_j = _blend(sel, np.asarray(energy_j, dtype=np.float64), 1.0)
+        rate = _blend(sel, np.asarray(rate, dtype=np.float64), 1.0)
+        power_w = _blend(sel, np.asarray(power_w, dtype=np.float64), 1.0)
         _require_finite_positive("work", work)
         _require_finite_positive("rate", rate)
         _require_finite_positive("power_w", power_w)
-        if not bool(np.all(np.isfinite(energy_j) & (energy_j >= 0.0))):
+        if not (energy_j.min() >= 0.0 and energy_j.max() < np.inf):
             raise FleetError("energy_j must be finite and >= 0")
 
-        self.steps = np.where(m, self.steps + 1, self.steps)
+        self.steps = _blend(sel, self.steps + 1, self.steps)
         # Healthy feedback below DEGRADE clears the degraded flag, as
         # the session manager does at the top of its step.
-        self.degraded = self.degraded & ~(
-            m & (self.tier < int(Tier.DEGRADE))
+        self.degraded = self.degraded & ~_blend(
+            sel, self.tier < int(Tier.DEGRADE), False
         )
 
         # Manager smoothing: energy-per-work EWMA (before the runtime).
         epw = energy_j / work
-        self.recent_epw = np.where(
-            m,
+        self.recent_epw = _blend(
+            sel,
             np.where(
                 self.has_epw,
                 self.recent_epw + self.smoothing * (epw - self.recent_epw),
@@ -661,33 +674,36 @@ class SessionPool:
         self.has_epw = self.has_epw | m
 
         # 1. Update models at the previously selected arm (Eqn. 1).
+        # (n, C) cells are addressed by flat index: row * C + column.
         j = self.d_sys
-        every_row = np.arange(n)
-        applied = spec.frontier_speedups[self.d_fpos]
-        system_rate = rate / applied
-        vis_j = self.visited[every_row, j]
-        est_r_j = self.rate_est[every_row, j]
-        est_p_j = self.power_est[every_row, j]
+        row_base = np.arange(n, dtype=np.int64) * spec.n_configs
+        flat_j = row_base + j
+        system_rate = rate / spec.frontier_speedups.take(self.d_fpos)
+        vis_j = self.visited.take(flat_j)
+        rate_shape_j = spec.rate_shape.take(j)
+        power_shape_j = spec.power_shape.take(j)
         scale_r = np.where(self.has_scale, self.rate_scale, 1.0)
         scale_p = np.where(self.has_scale, self.power_scale, 1.0)
         prior_rate = np.where(
-            vis_j, est_r_j, spec.rate_shape[j] * scale_r * spec.optimism
+            vis_j,
+            self.rate_est.take(flat_j),
+            rate_shape_j * scale_r * spec.optimism,
         )
         prior_power = np.where(
-            vis_j, est_p_j, spec.power_shape[j] * scale_p / spec.optimism
+            vis_j,
+            self.power_est.take(flat_j),
+            power_shape_j * scale_p / spec.optimism,
         )
         estimated_eff = prior_rate / prior_power
         last_delta = np.abs(system_rate / prior_rate - 1.0)
-        self.last_rate_delta = np.where(
-            m, last_delta, self.last_rate_delta
-        )
+        self.last_rate_delta = _blend(sel, last_delta, self.last_rate_delta)
 
         # Global scale calibration (blend 0.25 after the first sample).
-        rate_ratio = system_rate / spec.rate_shape[j]
-        power_ratio = power_w / spec.power_shape[j]
+        rate_ratio = system_rate / rate_shape_j
+        power_ratio = power_w / power_shape_j
         blend = 0.25
-        self.rate_scale = np.where(
-            m,
+        self.rate_scale = _blend(
+            sel,
             np.where(
                 self.has_scale,
                 self.rate_scale + blend * (rate_ratio - self.rate_scale),
@@ -695,8 +711,8 @@ class SessionPool:
             ),
             self.rate_scale,
         )
-        self.power_scale = np.where(
-            m,
+        self.power_scale = _blend(
+            sel,
             np.where(
                 self.has_scale,
                 self.power_scale
@@ -707,14 +723,15 @@ class SessionPool:
         )
         self.has_scale = self.has_scale | m
 
-        # Per-arm EWMA seeded from the calibrated prior.
-        seeded_r = np.where(vis_j, est_r_j, prior_rate)
-        seeded_p = np.where(vis_j, est_p_j, prior_power)
-        q_rate = seeded_r + spec.alpha * (system_rate - seeded_r)
-        q_power = seeded_p + spec.alpha * (power_w - seeded_p)
-        self.rate_est[rows, j[rows]] = q_rate[rows]
-        self.power_est[rows, j[rows]] = q_power[rows]
-        self.visited[rows, j[rows]] = True
+        # Per-arm EWMA seeded from the calibrated prior (which already
+        # is the arm's estimate where visited).
+        q_rate = prior_rate + spec.alpha * (system_rate - prior_rate)
+        q_power = prior_power + spec.alpha * (power_w - prior_power)
+        if sel is not None:
+            flat_j, q_rate, q_power = flat_j[m], q_rate[m], q_power[m]
+        self.rate_est.put(flat_j, q_rate)
+        self.power_est.put(flat_j, q_power)
+        self.visited.put(flat_j, True)
 
         # Eqn. 2: VDBE epsilon.
         measured_eff = system_rate / power_w
@@ -723,21 +740,21 @@ class SessionPool:
         )
         exponent = -np.abs(spec.vdbe_alpha * difference) / spec.vdbe_sigma
         if self.mode == "exact":
-            x = np.empty(n, dtype=np.float64)
-            x[rows] = [math.exp(exponent[i]) for i in rows]
-            x[~m] = 1.0
+            rows = np.flatnonzero(m)
+            x = np.ones(n, dtype=np.float64)
+            x[rows] = [math.exp(e) for e in exponent[rows].tolist()]
         else:
             x = np.exp(exponent)
         rho = (1.0 - x) / (1.0 + x)
         w = spec.vdbe_weight
-        self.epsilon = np.where(
-            m, w * rho + (1.0 - w) * self.epsilon, self.epsilon
+        self.epsilon = _blend(
+            sel, w * rho + (1.0 - w) * self.epsilon, self.epsilon
         )
-        self.updates = self.updates + m.astype(np.int64)
+        self.updates = _blend(sel, self.updates + 1, self.updates)
 
         # Eqns. 10-11: adaptive pole from the learner's error.
-        self.pole_delta = np.where(
-            m,
+        self.pole_delta = _blend(
+            sel,
             spec.pole_smoothing * self.pole_delta
             + (1.0 - spec.pole_smoothing) * last_delta,
             self.pole_delta,
@@ -745,17 +762,21 @@ class SessionPool:
         pole = pole_for_error_array(self.pole_delta, spec.pole_margin)
 
         # Budget bookkeeping (accountant.record + Kalman telemetry).
-        self.work_done = np.where(m, self.work_done + work, self.work_done)
-        self.energy_used_j = np.where(
-            m, self.energy_used_j + energy_j, self.energy_used_j
+        self.work_done = _blend(sel, self.work_done + work, self.work_done)
+        self.energy_used_j = _blend(
+            sel, self.energy_used_j + energy_j, self.energy_used_j
         )
-        self.energy_kalman.update(energy_j, mask=m)
+        self.energy_kalman.update(energy_j, mask=sel)
 
         # 2. Select the next arm (Eqn. 3 with epsilon-greedy VDBE).
         rand, rand_index = self._draw(m)
         explored = rand < self.epsilon
-        scale_r = np.where(self.has_scale, self.rate_scale, 1.0)
-        scale_p = np.where(self.has_scale, self.power_scale, 1.0)
+        if sel is not None:
+            scale_r = np.where(self.has_scale, self.rate_scale, 1.0)
+            scale_p = np.where(self.has_scale, self.power_scale, 1.0)
+        else:
+            # Every row was just calibrated.
+            scale_r, scale_p = self.rate_scale, self.power_scale
         if self.mode == "exact":
             # Bit-exact operand order: build the full prior matrices
             # exactly as ``SystemEnergyOptimizer`` does per session.
@@ -771,51 +792,52 @@ class SessionPool:
             )
             rate_all = np.where(self.visited, self.rate_est, rate_all)
             power_all = np.where(self.visited, self.power_est, power_all)
-            best = (rate_all / power_all).argmax(axis=1).astype(np.int64)
+            best = (rate_all / power_all).argmax(axis=1)
             selected = np.where(explored, rand_index, best)
-            est_rate = rate_all[every_row, selected]
-            est_power = power_all[every_row, selected]
+            flat_s = row_base + selected
+            est_rate = rate_all.take(flat_s)
+            est_power = power_all.take(flat_s)
         else:
             # Fast path: the unvisited prior efficiency factors into a
-            # per-config shape times a per-row scale multiplier, so one
-            # (n, C) buffer is filled with two masked writes instead of
-            # materializing both prior matrices.  Algebraically equal
-            # to the exact path; may differ in the last ulp.
-            eff = self._eff_scratch
-            if eff is None or eff.shape != self.visited.shape:
-                eff = np.empty_like(self.rate_est)
-                self._eff_scratch = eff
-            np.divide(
-                self.rate_est, self.power_est, out=eff, where=self.visited
-            )
+            # per-config shape times a per-row scale multiplier, so the
+            # prior fills one buffer with an outer product and the
+            # visited efficiencies overwrite it in place (unmasked
+            # ufuncs; unvisited 0/0 cells never reach ``argmax``).
+            # Algebraically equal to the exact path; may differ in the
+            # last ulp.
+            if self._scratch.shape[1] < n:
+                self._scratch = np.empty(
+                    (2, n, spec.n_configs), dtype=np.float64
+                )
+            eff, prior = self._scratch[0, :n], self._scratch[1, :n]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(self.rate_est, self.power_est, out=eff)
             prior_mult = (scale_r / scale_p) * (
                 spec.optimism * spec.optimism
             )
-            np.multiply(
-                self._shape_eff[None, :],
-                prior_mult[:, None],
-                out=eff,
-                where=~self.visited,
-            )
-            best = eff.argmax(axis=1).astype(np.int64)
+            np.multiply(self._shape_eff, prior_mult[:, None], out=prior)
+            np.putmask(prior, self.visited, eff)
+            best = prior.argmax(axis=1)
             selected = np.where(explored, rand_index, best)
-            sel_vis = self.visited[every_row, selected]
+            flat_s = row_base + selected
+            sel_vis = self.visited.take(flat_s)
             est_rate = np.where(
                 sel_vis,
-                self.rate_est[every_row, selected],
-                spec.rate_shape[selected] * scale_r * spec.optimism,
+                self.rate_est.take(flat_s),
+                spec.rate_shape.take(selected) * scale_r * spec.optimism,
             )
             est_power = np.where(
                 sel_vis,
-                self.power_est[every_row, selected],
-                spec.power_shape[selected] * scale_p / spec.optimism,
+                self.power_est.take(flat_s),
+                spec.power_shape.take(selected) * scale_p / spec.optimism,
             )
 
         # 4. Remaining-budget target -> required rate -> Eqn. 5.
+        effective_j = self.budget_j + self.adjustment_j
         remaining_work, remaining_energy = remaining_arrays(
             self.total_work,
             self.work_done,
-            self.budget_j + self.adjustment_j,
+            effective_j,
             self.energy_used_j,
         )
         target, complete, exhausted = target_energy_per_work_array(
@@ -823,31 +845,30 @@ class SessionPool:
         )
         needed = est_power / np.where(target > 0.0, target, 1.0)
         reachable = est_rate * spec.max_speedup * spec.feasibility_slack
-        saturate = (~complete) & (~exhausted) & (needed > reachable)
-        integrate = (~complete) & (~exhausted) & ~(needed > reachable)
+        # Saturate when the goal is out of reach, integrate otherwise;
+        # complete or exhausted rows hold the controller.
+        over = needed > reachable
         error = needed - rate
         unclamped = self.ctrl_speedup + (1.0 - pole) * error / est_rate
         stepped = np.minimum(
             np.maximum(unclamped, spec.min_speedup), spec.max_speedup
         )
         new_ctrl = np.where(
-            saturate,
-            spec.max_speedup,
-            np.where(integrate, stepped, self.ctrl_speedup),
+            complete | exhausted,
+            self.ctrl_speedup,
+            np.where(over, spec.max_speedup, stepped),
         )
-        self.ctrl_speedup = np.where(m, new_ctrl, self.ctrl_speedup)
+        self.ctrl_speedup = _blend(sel, new_ctrl, self.ctrl_speedup)
+        # Only read where the work is not complete.
+        infeasible = exhausted | over
         setpoint = np.where(
             complete,
             self.ctrl_speedup,
-            np.where(
-                exhausted | saturate, spec.max_speedup, stepped
-            ),
+            np.where(infeasible, spec.max_speedup, stepped),
         )
-        feasible = np.where(
-            complete, self.d_feasible, ~(exhausted | saturate)
-        )
-        self.goal_infeasible = self.goal_infeasible | (
-            m & (~complete) & (exhausted | saturate)
+        feasible = np.where(complete, self.d_feasible, ~infeasible)
+        self.goal_infeasible = self.goal_infeasible | _blend(
+            sel, ~complete & infeasible, False
         )
 
         # 5. Eqn. 6: most accurate frontier config at the setpoint.
@@ -856,23 +877,31 @@ class SessionPool:
                 spec.frontier_speedups, setpoint, side="left"
             ),
             spec.n_frontier - 1,
-        ).astype(np.int64)
+        )
         fpos = np.where(complete, self.d_fpos, fpos)
 
-        self.d_sys = np.where(m, selected, self.d_sys)
-        self.d_fpos = np.where(m, fpos, self.d_fpos)
-        self.d_setpoint = np.where(m, setpoint, self.d_setpoint)
-        self.d_pole = np.where(m, pole, self.d_pole)
-        self.d_epsilon = np.where(m, self.epsilon, self.d_epsilon)
-        self.d_explored = np.where(m, explored, self.d_explored)
-        self.d_feasible = np.where(m, feasible, self.d_feasible)
+        self.d_sys = _blend(sel, selected, self.d_sys)
+        self.d_fpos = _blend(sel, fpos, self.d_fpos)
+        self.d_setpoint = _blend(sel, setpoint, self.d_setpoint)
+        self.d_pole = _blend(sel, pole, self.d_pole)
+        self.d_epsilon = _blend(sel, self.epsilon.copy(), self.d_epsilon)
+        self.d_explored = _blend(sel, explored, self.d_explored)
+        self.d_feasible = _blend(sel, feasible, self.d_feasible)
 
         if self.policy is not None:
-            self._enforce(m, rows, energy_j, best)
+            self._enforce(
+                m,
+                sel,
+                energy_j,
+                best,
+                effective_j,
+                remaining_work,
+                remaining_energy,
+            )
 
-        self.accuracy_sum = np.where(
-            m,
-            self.accuracy_sum + spec.frontier_accuracies[self.d_fpos],
+        self.accuracy_sum = _blend(
+            sel,
+            self.accuracy_sum + spec.frontier_accuracies.take(self.d_fpos),
             self.accuracy_sum,
         )
 
@@ -907,15 +936,23 @@ class SessionPool:
     def _enforce(
         self,
         m: np.ndarray,
-        rows: np.ndarray,
+        sel: Optional[np.ndarray],
         energy_j: np.ndarray,
         best: np.ndarray,
+        effective_j: np.ndarray,
+        remaining_work: np.ndarray,
+        remaining_energy: np.ndarray,
     ) -> None:
-        """One ladder observation per alive row; apply the tier."""
+        """One ladder observation per stepped row; apply the tier.
+
+        ``m`` is the step mask, ``sel`` its blend form (None when the
+        step covers every row); the ledger arrays are the step's.
+        """
         assert self.policy is not None
+        policy = self.policy
         spec = self.spec
-        self.recent_step_energy_j = np.where(
-            m,
+        self.recent_step_energy_j = _blend(
+            sel,
             np.where(
                 self.has_step_energy,
                 self.recent_step_energy_j
@@ -927,48 +964,36 @@ class SessionPool:
         )
         self.has_step_energy = self.has_step_energy | m
 
-        remaining_work, remaining_energy = remaining_arrays(
-            self.total_work,
-            self.work_done,
-            self.budget_j + self.adjustment_j,
-            self.energy_used_j,
-        )
         overrun, burn, headroom = overdraft_signal_arrays(
-            self.budget_j + self.adjustment_j,
+            effective_j,
             self.energy_used_j,
             remaining_work,
             remaining_energy,
             self.recent_epw,
             self.recent_step_energy_j,
         )
-        self.last_overrun = np.where(m, overrun, self.last_overrun)
-        self.last_burn = np.where(m, burn, self.last_burn)
-        self.last_headroom = np.where(m, headroom, self.last_headroom)
+        self.last_overrun = _blend(sel, overrun, self.last_overrun)
+        self.last_burn = _blend(sel, burn, self.last_burn)
+        self.last_headroom = _blend(sel, headroom, self.last_headroom)
         self.has_signal = self.has_signal | m
         desired = desired_tier_array(
-            self.policy, overrun, burn, headroom, self.tier
+            policy, overrun, burn, headroom, self.tier
         )
         new_tier, new_calm = ladder_observe_array(
-            self.policy, self.tier, self.calm_streak, desired
+            policy, self.tier, self.calm_streak, desired
         )
-        changed = m & (new_tier != self.tier)
-        self.transition_count = self.transition_count + changed.astype(
-            np.int64
+        self.transition_count = self.transition_count + _blend(
+            sel, new_tier != self.tier, False
         )
-        self.tier = np.where(m, new_tier, self.tier)
-        self.calm_streak = np.where(m, new_calm, self.calm_streak)
+        self.tier = _blend(sel, new_tier, self.tier)
+        self.calm_streak = _blend(sel, new_calm, self.calm_streak)
         self.tier_peak = np.maximum(self.tier_peak, self.tier)
-        self.degrade_attempted = self.degrade_attempted | (
-            m & (self.tier >= int(Tier.DEGRADE))
-        )
+        enforced = _blend(sel, self.tier >= int(Tier.DEGRADE), False)
+        self.degrade_attempted = self.degrade_attempted | enforced
 
         # DEGRADE/THROTTLE: re-pin the safe fallback every enforced
         # step (pin_safe_fallback), exactly as the manager does.
-        pinned = (
-            m
-            & (self.tier >= int(Tier.DEGRADE))
-            & (self.tier < int(Tier.KILL))
-        )
+        pinned = enforced & (self.tier < int(Tier.KILL))
         if bool(pinned.any()):
             self.degraded = self.degraded | pinned
             self.ctrl_speedup = np.where(
@@ -983,13 +1008,13 @@ class SessionPool:
             )
             self.d_explored = np.where(pinned, False, self.d_explored)
 
-        self.throttle_s = np.where(
-            m,
-            _throttle_s_array(self.policy, self.tier, overrun),
+        self.throttle_s = _blend(
+            sel,
+            _throttle_s_array(policy, self.tier, overrun),
             self.throttle_s,
         )
 
-        killing = m & (self.tier == int(Tier.KILL))
+        killing = _blend(sel, self.tier == int(Tier.KILL), False)
         if bool(killing.any()):
             self.killed = self.killed | killing
             self.kill_step = np.where(killing, self.steps, self.kill_step)
@@ -1147,25 +1172,17 @@ class SessionPool:
         )
         self.ctrl_speedup[rows] = speedup
         self.warm[rows] = True
-        # Refresh the pending decision, as restore_learned does.
-        scale_r = self.rate_scale[rows] if has_scale else 1.0
-        scale_p = self.power_scale[rows] if has_scale else 1.0
-        rate_all = (
-            spec.rate_shape[None, :]
-            * np.atleast_1d(scale_r)[:, None]
-            * spec.optimism
+        # Refresh the pending decision, as restore_learned does.  Every
+        # row now holds the same tables, so one argmax serves them all.
+        scale_r = float(seo["rate_scale"]) if has_scale else 1.0
+        scale_p = float(seo["power_scale"]) if has_scale else 1.0
+        rate_all = np.where(
+            visited, rate_est, spec.rate_shape * scale_r * spec.optimism
         )
-        power_all = (
-            spec.power_shape[None, :]
-            * np.atleast_1d(scale_p)[:, None]
-            / spec.optimism
-        )
-        rate_all = np.where(self.visited[rows], self.rate_est[rows], rate_all)
         power_all = np.where(
-            self.visited[rows], self.power_est[rows], power_all
+            visited, power_est, spec.power_shape * scale_p / spec.optimism
         )
-        best = (rate_all / power_all).argmax(axis=1).astype(np.int64)
-        self.d_sys[rows] = best
+        self.d_sys[rows] = int((rate_all / power_all).argmax())
         fpos = min(
             int(
                 np.searchsorted(

@@ -444,54 +444,59 @@ class FleetSimulator:
             )
             if bool(churned.any()):
                 pool.close_rows(np.flatnonzero(churned))
-        else:
-            churned = np.zeros(pool.n, dtype=bool)
 
         dead = ~pool.alive
-        if not bool(dead.any()):
+        rows = np.flatnonzero(dead)
+        if rows.size == 0:
             return
         report = self.report
+        metrics = self.metrics
         cohort_stats = report.per_cohort[label]
-        budget = pool.budget_j + pool.adjustment_j
+        budget = pool.budget_j.take(rows) + pool.adjustment_j.take(rows)
+        used = pool.energy_used_j.take(rows)
         burn = np.where(
-            budget > 0.0, pool.energy_used_j / np.maximum(budget, 1e-12), 0.0
-        )
-        steps = np.maximum(pool.steps, 1)
-        accuracy = pool.accuracy_sum / steps
-        overdraft = pool.energy_used_j > budget * (1.0 + _OVERDRAFT_EPS)
-        hard = pool.tier_peak >= int(Tier.THROTTLE)
-        for row in np.flatnonzero(dead):
-            if bool(pool.killed[row]):
-                outcome = "killed"
-                report.killed += 1
-                cohort_stats["killed"] += 1
-                self.metrics.kills.labels(label).inc()
-            elif bool(finished[row]):
-                outcome = "completed"
-                report.completed += 1
-                cohort_stats["completed"] += 1
-            else:
-                outcome = "churned"
-                report.churned += 1
-                cohort_stats["churned"] += 1
-            self.metrics.retired.labels(label, outcome).inc()
-            report._burn.append(float(burn[row]))
-            report._accuracy.append(float(accuracy[row]))
-            self.metrics.observe_burn(label, float(burn[row]))
-            self.metrics.observe_accuracy(label, float(accuracy[row]))
-            if bool(overdraft[row]):
-                report.budget_violations += 1
-                self.metrics.budget_violations.labels(label).inc()
-            if bool(hard[row]):
-                report.hard_tier_sessions += 1
-                if bool(overdraft[row]):
-                    report.hard_tier_overdraft += 1
-                    cohort_stats["hard_tier_overdraft"] += 1
-                    self.metrics.hard_overdraft.labels(label).inc()
+            budget > 0.0, used / np.maximum(budget, 1e-12), 0.0
+        ).tolist()
+        accuracy = (
+            pool.accuracy_sum.take(rows)
+            / np.maximum(pool.steps.take(rows), 1)
+        ).tolist()
+        killed = pool.killed.take(rows)
+        completed = finished.take(rows) & ~killed
+        overdraft = used > budget * (1.0 + _OVERDRAFT_EPS)
+        hard = pool.tier_peak.take(rows) >= int(Tier.THROTTLE)
+        counts = {
+            "killed": int(np.count_nonzero(killed)),
+            "completed": int(np.count_nonzero(completed)),
+            "churned": int(rows.size - np.count_nonzero(killed | completed)),
+        }
+        report.killed += counts["killed"]
+        report.completed += counts["completed"]
+        report.churned += counts["churned"]
+        for outcome, count in counts.items():
+            cohort_stats[outcome] += count
+            if count:  # a metric child exists only once it has counted
+                metrics.retired.labels(label, outcome).inc(count)
+        if counts["killed"]:
+            metrics.kills.labels(label).inc(counts["killed"])
+        # Row order, so the histogram sums accumulate as before.
+        report._burn.extend(burn)
+        report._accuracy.extend(accuracy)
+        metrics.observe_burn(label, burn)
+        metrics.observe_accuracy(label, accuracy)
+        violations = int(np.count_nonzero(overdraft))
+        if violations:
+            report.budget_violations += violations
+            metrics.budget_violations.labels(label).inc(violations)
+        report.hard_tier_sessions += int(np.count_nonzero(hard))
+        hard_overdraft = int(np.count_nonzero(hard & overdraft))
+        if hard_overdraft:
+            report.hard_tier_overdraft += hard_overdraft
+            cohort_stats["hard_tier_overdraft"] += hard_overdraft
+            metrics.hard_overdraft.labels(label).inc(hard_overdraft)
         kept = pool.compact()
         state.bank.keep(~dead)
-        state.waste = state.waste[~dead]
-        assert kept.shape[0] == pool.n
+        state.waste = state.waste.take(kept)
 
     # -- the run --------------------------------------------------------
     def run(self) -> FleetReport:
@@ -538,10 +543,9 @@ class FleetSimulator:
                         state, state.pool, state.bank, state.waste
                     )
                     state.pool.step(work, energy, rate, power)
-                    self.report.device_steps += state.pool.alive_count
-                    self.metrics.device_steps.inc(
-                        state.pool.alive_count
-                    )
+                    stepped = state.pool.alive_count
+                    self.report.device_steps += stepped
+                    self.metrics.device_steps.inc(stepped)
                     # Completed and killed sessions leave right away —
                     # a finished session must not keep drawing budget.
                     self._retire(state, 0.0)

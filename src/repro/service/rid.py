@@ -64,6 +64,7 @@ class RidCache:
             return Reply.of(response)
         reply = Reply.of({**response, "rid": rid})
         self._lines[rid] = reply.line
+        self._lines.move_to_end(rid)
         if len(self._lines) > RID_CACHE_MAX:
             self._lines.popitem(last=False)
         return reply

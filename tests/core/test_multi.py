@@ -204,8 +204,17 @@ class TestCoordinator:
             "search": make_runtime("search", 5000.0, n, seed=11),
         }
         coordinator = MultiAppCoordinator(runtimes, rebalance_period=10)
+        rounds = []
+        rebalance = coordinator.rebalance
+
+        def recording():
+            rounds.append(rebalance())
+            return rounds[-1]
+
+        coordinator.rebalance = recording
         drive(coordinator, n)
-        for deltas in coordinator.transfers:
+        assert coordinator.rebalances == len(rounds) >= 1
+        for deltas in rounds:
             assert all(abs(d) < 1e-9 for d in deltas.values())
 
 
